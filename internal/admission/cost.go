@@ -54,13 +54,9 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 	}
 	h := int64(grid.DefaultHalo)
 	padded := (int64(block.Nx) + 2*h) * (int64(block.Ny) + 2*h) * (int64(block.Nz) + 2*h)
-	interior := block.Points()
 
 	st := cfg.Storage()
 	perRank := padded * (4*int64(st.FullFields32) + 2*int64(st.FullFields16))
-	if st.SpongeRamp {
-		perRank += interior * 4
-	}
 	bytes := ranks * perRank
 
 	if st.SurfacePGV {
@@ -90,7 +86,7 @@ func EstimateCost(cfg core.Config, mx, my int) Cost {
 	if cfg.Nonlinear {
 		weight++
 	}
-	if st.SpongeRamp {
+	if cfg.SpongeWidth > 0 {
 		weight += 0.3
 	}
 	if cfg.Attenuation.Enabled {

@@ -15,7 +15,6 @@ import "swquake/internal/compress"
 //     snapshots + phi)
 //   - newCompressedState: one 16-bit companion per dynamic field (the
 //     float32 wavefield stays allocated as the decompress working buffer)
-//   - fd.NewSponge: one interior-sized (no halo) float32 ramp
 //   - seismo.NewPGVField: one Nx×Ny float64 surface map
 type Storage struct {
 	// FullFields32 counts float32 fields allocated over the full block
@@ -24,8 +23,6 @@ type Storage struct {
 	// FullFields16 counts 16-bit compressed companions of the same padded
 	// extent (compressed runs keep both representations resident).
 	FullFields16 int
-	// SpongeRamp marks the interior-sized float32 damping ramp.
-	SpongeRamp bool
 	// SurfacePGV marks the Nx×Ny float64 peak-ground-velocity map.
 	SurfacePGV bool
 }
@@ -48,7 +45,6 @@ func (c Config) Storage() Storage {
 	if c.Compression.Method != compress.Off {
 		st.FullFields16 = 9
 	}
-	st.SpongeRamp = c.SpongeWidth > 0
 	st.SurfacePGV = c.RecordPGV
 	return st
 }
