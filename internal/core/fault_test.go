@@ -66,6 +66,48 @@ func TestConfigurableDivergenceLimit(t *testing.T) {
 	}
 }
 
+// TestNaNVelocityDiverges: one NaN velocity cell must stop the run at the
+// very next step on the serial path (single-threaded and tiled) and on a
+// 2x2 RunParallel, where the NaN sits in a rank other than 0. Comparing
+// `v > max` never sees a NaN, so a scan built on it would let the NaN
+// spread through the wavefield while the run finishes "successfully".
+func TestNaNVelocityDiverges(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Steps = 5
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sim.WF.U.Set(18, 17, 9, float32(math.NaN()))
+	ck := t.TempDir() + "/nan.swq"
+	if _, err := checkpoint.Save(ck, sim.StepCount(), sim.Time(), sim.WF); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Steps = 20
+	cfg.RestartFrom = ck
+	const want = "diverged at step 6 (max |v| = NaN)"
+	for _, tiles := range []int{1, 2} {
+		c := cfg
+		c.Tiles = tiles
+		s, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("serial tiles=%d: err = %v, want %q", tiles, err, want)
+		}
+	}
+	// the parallel path maps NaN to +Inf for its max reduction
+	const wantPar = "diverged at step 6 (max |v| = +Inf)"
+	if _, err := RunParallel(cfg, 2, 2); err == nil || !strings.Contains(err.Error(), wantPar) {
+		t.Fatalf("parallel: err = %v, want %q", err, wantPar)
+	}
+}
+
 // TestHaloCRCCleanRunBitIdentical: the CRC framing must be invisible to the
 // physics — a sealed run matches an unsealed one bit for bit.
 func TestHaloCRCCleanRunBitIdentical(t *testing.T) {

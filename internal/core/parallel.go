@@ -353,7 +353,7 @@ func runRank(ctx context.Context, r *mpi.Rank, pg *decomp.ProcessGrid, cfg Confi
 		}
 		// divergence detection is collective so every rank stops together;
 		// NaN maps to +Inf so it survives the max reduction
-		m := float64(sim.WF.MaxAbsVelocity())
+		m := sim.maxAbsVelocity()
 		if math.IsNaN(m) {
 			m = math.Inf(1)
 		}

@@ -281,7 +281,7 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 			}
 			sw.Lap(telemetry.StageCheckpoint)
 		}
-		m := float64(s.WF.MaxAbsVelocity())
+		m := s.maxAbsVelocity()
 		sw.Lap(telemetry.StageDivergence)
 		if diverged(m, s.Cfg.DivergenceLimit) {
 			return nil, fmt.Errorf("core: solution diverged at step %d (max |v| = %g)", s.step, m)

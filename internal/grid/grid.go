@@ -166,18 +166,25 @@ func (f *Field) InteriorEqual(g *Field, tol float64) bool {
 	return true
 }
 
-// MaxAbs returns the maximum absolute interior value.
+// MaxAbs returns the maximum absolute interior value; NaN if any interior
+// value is NaN (see MaxAbsBits).
 func (f *Field) MaxAbs() float32 {
-	var m float32
-	for i := 0; i < f.Nx; i++ {
-		for j := 0; j < f.Ny; j++ {
-			for _, v := range f.Row(i, j) {
-				if v < 0 {
-					v = -v
-				}
-				if v > m {
-					m = v
-				}
+	return math.Float32frombits(f.MaxAbsBits(Box(f.Dims)))
+}
+
+// MaxAbsBits returns the bit pattern of the largest |value| over region r.
+// It scans branch-free: each value's sign bit is cleared and the unsigned
+// maximum kept. For non-negative float32s the unsigned order of the bit
+// patterns is the numeric order, and every NaN pattern orders above +Inf,
+// so a NaN anywhere in r makes the result a NaN rather than being skipped.
+func (f *Field) MaxAbsBits(r Region) uint32 {
+	const signBit = 1 << 31
+	var m uint32
+	for i := r.I0; i < r.I1; i++ {
+		for j := r.J0; j < r.J1; j++ {
+			p := f.Idx(i, j, r.K0)
+			for _, v := range f.Data[p : p+r.Nk()] {
+				m = max(m, math.Float32bits(v)&^signBit)
 			}
 		}
 	}

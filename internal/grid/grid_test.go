@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -153,6 +154,31 @@ func TestMinMaxMaxAbs(t *testing.T) {
 	}
 	if f.MaxAbs() != 7 {
 		t.Fatalf("MaxAbs = %v", f.MaxAbs())
+	}
+}
+
+// TestMaxAbsBitsSeesSpecials: the bit-pattern scan orders -Inf as +Inf,
+// -0 as 0, and any NaN above both, and stays inside its region.
+func TestMaxAbsBitsSeesSpecials(t *testing.T) {
+	f := NewField(Dims{4, 3, 5}, 1)
+	f.Fill(float32(math.NaN())) // halo NaNs must not leak in
+	f.FillInterior(float32(math.Copysign(0, -1)))
+	if got := f.MaxAbsBits(Box(f.Dims)); got != 0 {
+		t.Fatalf("-0 field: %#x", got)
+	}
+	f.Set(0, 0, 0, -2.5)
+	f.Set(3, 2, 4, float32(math.Inf(-1)))
+	if got := math.Float32frombits(f.MaxAbsBits(Box(f.Dims))); !math.IsInf(float64(got), 1) {
+		t.Fatalf("-Inf field: %v", got)
+	}
+	f.Set(2, 1, 3, -float32(math.NaN()))
+	if got := f.MaxAbs(); !math.IsNaN(float64(got)) {
+		t.Fatalf("NaN field: MaxAbs = %v", got)
+	}
+	// a region that excludes the NaN and the Inf sees only -2.5
+	r := Region{I0: 0, I1: 2, J0: 0, J1: 3, K0: 0, K1: 5}
+	if got := math.Float32frombits(f.MaxAbsBits(r)); got != 2.5 {
+		t.Fatalf("region max = %v, want 2.5", got)
 	}
 }
 
