@@ -148,14 +148,20 @@ func ApplyRegion(wf *fd.Wavefield, p *Params, dt float64, r grid.Region) int {
 
 				dxx, dyy, dzz := txx-sm, tyy-sm, tzz-sm
 				txy, txz, tyz := xy[q], xz[q], yz[q]
-				// τ̄ = sqrt(J2)
 				j2 := 0.5*(dxx*dxx+dyy*dyy+dzz*dzz) + txy*txy + txz*txz + tyz*tyz
-				tau := float32(math.Sqrt(float64(j2)))
-
 				y := cohes[q]*cphi[q] - (sm+pf[q])*sphi[q]
 				if y < 0 {
 					y = 0
 				}
+				// fast reject without the sqrt: y*y is exact in float64, and
+				// sqrt and float32 rounding are monotone, so j2 <= y² implies
+				// tau <= y below. NaN fails the compare and takes the full path.
+				if float64(j2) <= float64(y)*float64(y) {
+					yld[q] = 1
+					continue
+				}
+				// τ̄ = sqrt(J2)
+				tau := float32(math.Sqrt(float64(j2)))
 				if tau <= y || tau == 0 {
 					yld[q] = 1
 					continue
