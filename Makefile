@@ -16,8 +16,11 @@ check: vet overload-test
 		./internal/ensemble/ ./internal/checkpoint/ ./internal/faultinject/ \
 		./internal/telemetry/ ./internal/admission/
 
+# go vet plus a formatting gate: fails when any Go file is not gofmt-clean
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test -shuffle=on ./...

@@ -65,10 +65,8 @@ type submitRequest struct {
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+	if code, err := decodeBody(w, r, &req); err != nil {
+		writeError(w, code, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
 	cfg, err := scenario.Build(req.Scenario, req.Overrides)
@@ -219,6 +217,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// maxRequestBytes caps every POST body. A job or campaign spec is a few
+// hundred bytes; the cap bounds what one request can make the decoder
+// buffer.
+const maxRequestBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and
+// reading at most maxRequestBytes. On failure it also returns the status
+// to answer with: 413 for an oversize body, 400 for anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, err
+		}
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

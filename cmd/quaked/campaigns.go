@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -25,10 +24,8 @@ func (s *server) registerCampaignRoutes() {
 
 func (s *server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 	var spec ensemble.CampaignSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid campaign spec: %w", err))
+	if code, err := decodeBody(w, r, &spec); err != nil {
+		writeError(w, code, fmt.Errorf("invalid campaign spec: %w", err))
 		return
 	}
 	st, err := s.mgr.Create(spec)

@@ -139,6 +139,13 @@ func TestHTTPCampaignValidationAndUnknown(t *testing.T) {
 	}
 }
 
+// TestHTTPCampaignBodyLimit: POST /v1/campaigns reads at most
+// maxRequestBytes.
+func TestHTTPCampaignBodyLimit(t *testing.T) {
+	ts, _ := newTestServer(t, service.Options{Workers: 1})
+	checkBodyLimit(t, ts.URL+"/v1/campaigns", `{"scenario":"quickstart","seeds":{"count":4}}`)
+}
+
 func TestHTTPCampaignCancel(t *testing.T) {
 	ts, _ := newTestServer(t, service.Options{Workers: 1})
 	slow := `{"scenario":"quickstart","base":{"steps":200000},` +

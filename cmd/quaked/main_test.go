@@ -271,6 +271,31 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// checkBodyLimit posts two bodies to a POST route: one over
+// maxRequestBytes must get 413, and one just under it (whitespace padding
+// before an invalid spec) must still reach validation and get 400.
+func checkBodyLimit(t *testing.T, url, invalid string) {
+	t.Helper()
+	var e map[string]string
+	huge := `{"scenario":"` + strings.Repeat("a", maxRequestBytes) + `"}`
+	if code := doJSON(t, "POST", url, huge, &e); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body -> %d, want 413", code)
+	}
+	if e["error"] == "" {
+		t.Fatal("413 without an error body")
+	}
+	padded := strings.Repeat(" ", maxRequestBytes-len(invalid)) + invalid
+	if code := doJSON(t, "POST", url, padded, &e); code != http.StatusBadRequest {
+		t.Fatalf("body at the limit -> %d, want 400", code)
+	}
+}
+
+// TestHTTPSubmitBodyLimit: POST /v1/jobs reads at most maxRequestBytes.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	ts, _ := newTestServer(t, service.Options{Workers: 1})
+	checkBodyLimit(t, ts.URL+"/v1/jobs", `{"scenario":"loma-prieta"}`)
+}
+
 // TestHTTPResultWhileRunning covers the 409 not-finished path.
 func TestHTTPResultWhileRunning(t *testing.T) {
 	ts, _ := newTestServer(t, service.Options{Workers: 1})
